@@ -21,8 +21,7 @@ bench:
 	$(GO) test -run xxx -bench=. -benchmem .
 
 # Machine-readable baselines: the fig. 8 ratio sweep, the cached
-# repeated-workload study, the shard sweep, the scan-path study and the
-# clustering studies — figures, config and the metric registry snapshot
+# repeated-workload study, the shard sweep and the clustering studies — figures, config and the metric registry snapshot
 # in one JSON file each. The committed BENCH_*.json files are the
 # reference artifacts; regenerate after a perf-relevant change and
 # compare before committing. Every write goes through schema validation
@@ -34,7 +33,6 @@ bench-json:
 	$(GO) test -run xxx -bench BenchmarkRepeatedWorkload -benchtime 1x .
 	$(GO) run ./cmd/acqbench -experiment repeated -cache -rows 20000 -json BENCH_cache.json
 	$(GO) run ./cmd/acqbench -experiment shards -rows 100000 -json BENCH_shards.json
-	$(GO) run ./cmd/acqbench -experiment scan -rows 20000 -json BENCH_scan.json
 	$(GO) run ./cmd/acqbench -experiment autocluster -rows 20000 -json BENCH_autocluster.json
 	$(GO) run ./cmd/acqbench -experiment zorder -rows 20000 -json BENCH_zorder.json
 	$(GO) run ./cmd/benchcheck BENCH_*.json

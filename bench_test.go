@@ -597,34 +597,24 @@ func vectorBenchSetup(b *testing.B, rows int) (*exec.Engine, *relq.Query, []relq
 }
 
 // BenchmarkVectorScan times one AggregateBatch of the clustered fig. 8
-// workload through the legacy row-at-a-time scan path and the
-// vectorized block path. Rows-scanned and blocks-skipped deltas make
-// the zone-map pruning visible: the vectorized path's RowsScanned
+// workload through the block-vectorized scan path. Rows-scanned and
+// blocks-skipped deltas make the zone-map pruning visible: RowsScanned
 // excludes every block proven out of range.
 func BenchmarkVectorScan(b *testing.B) {
 	e, q, regions := vectorBenchSetup(b, 100000)
-	for _, legacy := range []bool{true, false} {
-		name := "path=vector"
-		if legacy {
-			name = "path=legacy"
-		}
-		b.Run(name, func(b *testing.B) {
-			e.SetLegacyScan(legacy)
-			defer e.SetLegacyScan(false)
-			b.ResetTimer()
-			var d exec.Stats
-			for i := 0; i < b.N; i++ {
-				before := e.Snapshot()
-				if _, err := e.AggregateBatch(context.Background(), q, regions); err != nil {
-					b.Fatal(err)
-				}
-				d = e.Snapshot().Sub(before)
+	b.Run("path=vector", func(b *testing.B) {
+		var d exec.Stats
+		for i := 0; i < b.N; i++ {
+			before := e.Snapshot()
+			if _, err := e.AggregateBatch(context.Background(), q, regions); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(d.RowsScanned), "rows-scanned")
-			b.ReportMetric(float64(d.BlocksScanned), "blocks-scanned")
-			b.ReportMetric(float64(d.BlocksSkipped), "blocks-skipped")
-		})
-	}
+			d = e.Snapshot().Sub(before)
+		}
+		b.ReportMetric(float64(d.RowsScanned), "rows-scanned")
+		b.ReportMetric(float64(d.BlocksScanned), "blocks-scanned")
+		b.ReportMetric(float64(d.BlocksSkipped), "blocks-skipped")
+	})
 }
 
 // BenchmarkVectorScanObserved is BenchmarkVectorScan's vector path with
@@ -644,11 +634,9 @@ func BenchmarkVectorScanObserved(b *testing.B) {
 
 // BenchmarkJoinPushdown times one AggregateBatch of the three-table
 // TPCH SUM workload (supplier ⋈ partsupp ⋈ part, selective prefix
-// regions) through both scan paths. The vectorized path pre-filters
-// the partsupp scan by the surviving supplier keys (scan-level
-// semi-join pushdown) and builds pre-sized, order-preserving join
-// tables instead of incrementally grown maps; the legacy/vector ns/op
-// ratio is the join-bearing speedup BENCH_scan.json records.
+// regions). The scan pre-filters partsupp by the surviving supplier
+// keys (scan-level semi-join pushdown) and builds pre-sized,
+// order-preserving join tables.
 func BenchmarkJoinPushdown(b *testing.B) {
 	cat, err := tpch.Generate(tpch.Config{Rows: 50000, Seed: 1})
 	if err != nil {
@@ -666,27 +654,18 @@ func BenchmarkJoinPushdown(b *testing.B) {
 		h := 2 + float64(i)*3
 		regions = append(regions, relq.Region{{Lo: -1, Hi: h}, {Lo: -1, Hi: h / 2}})
 	}
-	for _, legacy := range []bool{true, false} {
-		name := "path=vector"
-		if legacy {
-			name = "path=legacy"
-		}
-		b.Run(name, func(b *testing.B) {
-			e.SetLegacyScan(legacy)
-			defer e.SetLegacyScan(false)
-			b.ResetTimer()
-			var d exec.Stats
-			for i := 0; i < b.N; i++ {
-				before := e.Snapshot()
-				if _, err := e.AggregateBatch(context.Background(), q, regions); err != nil {
-					b.Fatal(err)
-				}
-				d = e.Snapshot().Sub(before)
+	b.Run("path=vector", func(b *testing.B) {
+		var d exec.Stats
+		for i := 0; i < b.N; i++ {
+			before := e.Snapshot()
+			if _, err := e.AggregateBatch(context.Background(), q, regions); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(d.RowsScanned), "rows-scanned")
-			b.ReportMetric(float64(d.TuplesExamined), "tuples-examined")
-		})
-	}
+			d = e.Snapshot().Sub(before)
+		}
+		b.ReportMetric(float64(d.RowsScanned), "rows-scanned")
+		b.ReportMetric(float64(d.TuplesExamined), "tuples-examined")
+	})
 }
 
 // BenchmarkRepeatedWorkload times the cross-search partial-aggregate

@@ -74,9 +74,6 @@ var experiments = []experiment{
 	{"shards", "sharded evaluation stack sweep: scatter-gather AggregateBatch vs the monolithic engine (fig. 8 workload)", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
 		return harness.ShardSweep(ctx, c)
 	}},
-	{"scan", "vectorized scan path study: legacy vs block-vectorized on the clustered fig. 8 and tpch join workloads (see -cluster)", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
-		return harness.ScanPathStudy(ctx, c)
-	}},
 	{"autocluster", "workload-adaptive clustering study: plain vs learned vs explicit -cluster layouts on the fig. 8 workload", func(ctx context.Context, c harness.Config, _ []int) ([]harness.Figure, error) {
 		return harness.AutoClusterStudy(ctx, c)
 	}},
@@ -104,24 +101,24 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("acqbench", flag.ContinueOnError)
 	var (
-		expName = fs.String("experiment", "all", "experiment to run (all, table1, summary, "+names()+")")
-		rows    = fs.Int("rows", 100000, "dataset size (the paper's headline scale is 1000000)")
-		seed    = fs.Int64("seed", 1, "generation seed")
-		delta   = fs.Float64("delta", 0.05, "aggregate error threshold δ")
-		gamma   = fs.Float64("gamma", 20, "refinement threshold γ")
-		sizesCS = fs.String("sizes", "", "comma-separated table sizes for fig10a (default 1000,10000,100000)")
-		gridK   = fs.Int("tqgen-k", 0, "TQGen grid values per predicate (default 8)")
-		rounds  = fs.Int("tqgen-rounds", 0, "TQGen zoom rounds (default 5)")
-		gridAgg = fs.Bool("gridagg", false, "build aggregate-augmented grids: answer eligible cell queries from stored per-cell partials")
-		cache   = fs.Bool("cache", false, "attach a cross-search partial-aggregate cache to every engine")
-		shards  = fs.Int("shards", 1, "run harness engines as a ShardedEvaluator over N range-partitioned shards")
-		cluster = fs.String("cluster", "", "re-sort generated tables by this numeric column before building engines (engages the vectorized path's zone maps)")
-		autoCl  = fs.Bool("autocluster", false, "enable workload-adaptive clustering: engines learn the dominant range column from their own scans and re-sort between batches")
-		zorder  = fs.Bool("zorder", false, "with -autocluster: admit two-column Z-order layouts so zone maps prune on both range axes (implies -autocluster)")
-		cacheMB = fs.Int("cache-mb", 64, "region cache capacity in MiB (with -cache)")
-		metrics = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address while experiments run")
-		logJSON = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
-		jsonOut = fs.String("json", "", "also write figures + config + metric snapshot as JSON to this file")
+		expName     = fs.String("experiment", "all", "experiment to run (all, table1, summary, "+names()+")")
+		rows        = fs.Int("rows", 100000, "dataset size (the paper's headline scale is 1000000)")
+		seed        = fs.Int64("seed", 1, "generation seed")
+		delta       = fs.Float64("delta", 0.05, "aggregate error threshold δ")
+		gamma       = fs.Float64("gamma", 20, "refinement threshold γ")
+		sizesCS     = fs.String("sizes", "", "comma-separated table sizes for fig10a (default 1000,10000,100000)")
+		gridK       = fs.Int("tqgen-k", 0, "TQGen grid values per predicate (default 8)")
+		rounds      = fs.Int("tqgen-rounds", 0, "TQGen zoom rounds (default 5)")
+		gridAgg     = fs.Bool("gridagg", false, "build aggregate-augmented grids: answer eligible cell queries from stored per-cell partials")
+		cache       = fs.Bool("cache", false, "attach a cross-search partial-aggregate cache to every engine")
+		shards      = fs.Int("shards", 1, "run harness engines as a ShardedEvaluator over N range-partitioned shards")
+		cluster     = fs.String("cluster", "", "re-sort generated tables by this numeric column before building engines (engages the vectorized path's zone maps)")
+		autoCl      = fs.Bool("autocluster", false, "enable workload-adaptive clustering: engines learn the dominant range column from their own scans and re-sort between batches")
+		zorder      = fs.Bool("zorder", false, "with -autocluster: admit two-column Z-order layouts so zone maps prune on both range axes (implies -autocluster)")
+		cacheMB     = fs.Int("cache-mb", 64, "region cache capacity in MiB (with -cache)")
+		metrics     = fs.String("metrics-addr", "", "serve /metrics, /healthz, /debug/pprof and /debug/traces on this address while experiments run")
+		logJSON     = fs.Bool("log-json", false, "emit structured search/engine events as JSON on stderr")
+		jsonOut     = fs.String("json", "", "also write figures + config + metric snapshot as JSON to this file")
 		traceDir    = fs.String("trace-dir", "", "record search span trees and write them here as Chrome trace-event JSON")
 		traceSample = fs.Int("trace-sample", 0, "with tracing: keep 1-in-N fast searches (0 or 1 = keep all)")
 		traceSlow   = fs.Duration("trace-slow", 0, "with tracing: always keep searches slower than this (tail-based keep)")

@@ -543,7 +543,9 @@ func (e *Engine) sweepTable(name string, cols map[int]colWorkload, pol AutoClust
 func (e *Engine) swapLayout(name string, nt *data.Table) {
 	key := strings.ToLower(name)
 	prior := e.wstats.decayedCopy(key, 0.5)
-	g := e.grid(name)
+	e.mu.RLock()
+	g := e.grids[key]
+	e.mu.RUnlock()
 	e.cat.Replace(nt)
 	e.InvalidateTable(name)
 	e.wstats.restore(key, prior)

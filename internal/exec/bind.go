@@ -136,6 +136,8 @@ func (e *Engine) bind(q *relq.Query) (*binding, error) {
 				dim: d, di: i, ltbl: lt, rtbl: rt, lvec: lv, rvec: rv,
 				lc: coefOr1(d.LCoef), rc: coefOr1(d.RCoef),
 			})
+		default:
+			return nil, fmt.Errorf("exec: dimension %d has unknown kind %d", i, d.Kind)
 		}
 	}
 

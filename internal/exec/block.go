@@ -165,9 +165,10 @@ func prunePad(lo, hi float64) (float64, float64) {
 // set under iv.Lo > 0 is a band with a hole in the middle — not a
 // single interval — so only its outer (Hi) band prunes.
 //
-// Candidate lists on zone-pruned full scans may therefore be a subset
-// of the legacy path's (rows that could never reach the final result);
-// surviving tuples, their order, and every aggregate bit are unchanged.
+// Candidate lists on zone-pruned full scans may therefore omit rows
+// that pass the scan's own per-row filters but could never reach the
+// final result; surviving tuples, their order, and every aggregate bit
+// are unchanged.
 func pruneInterval(d *relq.Dimension, iv relq.ViolInterval) (float64, float64) {
 	lo, hi := math.Inf(-1), math.Inf(1)
 	switch d.Kind {
@@ -199,9 +200,9 @@ func pruneInterval(d *relq.Dimension, iv relq.ViolInterval) (float64, float64) {
 // (filterRangeDense / filterViolationDense) run the chain's first
 // predicate straight over a contiguous column stride, emitting row ids
 // without the identity-fill + gather round trip. The keep conditions
-// are the exact negations of the row-at-a-time scan's reject
-// conditions — including their NaN behavior — so a filter chain keeps
-// precisely the rows the legacy verify loop keeps, in the same order.
+// are the exact negations of the per-row reject conditions
+// NaiveAggregate applies — including their NaN behavior — so a filter
+// chain keeps precisely the rows the oracle keeps, in row order.
 
 // b2i converts a predicate result to an output-cursor increment. The
 // compiler lowers it to SETcc, keeping compaction loops branch-free.

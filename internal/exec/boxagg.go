@@ -16,7 +16,6 @@ import (
 type boxConstraint struct {
 	dim      *relq.Dimension
 	vec      []float64
-	di       int // query-dimension index (violation vector slot)
 	ord      int // column ordinal in the table (zone-map key)
 	pos      int // grid dimension
 	iv       relq.ViolInterval
@@ -41,7 +40,7 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 		len(b.ranges[0]) != 0 || len(b.strFlts[0]) != 0 || b.spec.Func == relq.AggUser {
 		return agg.Zero(), false, nil
 	}
-	g := e.grid(b.q.Tables[0])
+	g := e.grid(b.q.Tables[0], b.tables[0])
 	if g == nil || !g.HasAggs() {
 		return agg.Zero(), false, nil
 	}
@@ -75,7 +74,7 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 			return agg.Zero(), false, nil
 		}
 		cons = append(cons, boxConstraint{
-			dim: sd.dim, vec: sd.vec, di: sd.di, ord: sd.ord, pos: pos,
+			dim: sd.dim, vec: sd.vec, ord: sd.ord, pos: pos,
 			iv: region[sd.di], val: ivs[0],
 		})
 	}
@@ -148,19 +147,15 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 	// provably misses a hull is dropped without gathering a single row —
 	// sound here because the per-row keep test enforces both interval
 	// sides (v > iv.Lo && v <= iv.Hi), so every skipped row is one the
-	// filter would have rejected anyway. Only the vectorized branch
-	// consults them; the legacy per-row loop stays byte-for-byte put.
-	vecPath := !e.legacyScan.Load() && len(cons) == len(b.q.Dims)
+	// filter would have rejected anyway.
 	var zps []zonePred
-	if vecPath {
-		for i := range cons {
-			zlo, zhi := pruneInterval(cons[i].dim, cons[i].iv)
-			if math.IsInf(zlo, -1) && math.IsInf(zhi, 1) {
-				continue
-			}
-			zm := e.zoneMapFor(b.tables[0], cons[i].ord, cons[i].vec)
-			zps = append(zps, zonePred{zm: zm, lo: zlo, hi: zhi})
+	for i := range cons {
+		zlo, zhi := pruneInterval(cons[i].dim, cons[i].iv)
+		if math.IsInf(zlo, -1) && math.IsInf(zhi, 1) {
+			continue
 		}
+		zm := e.zoneMapFor(b.tables[0], cons[i].ord, cons[i].vec)
+		zps = append(zps, zonePred{zm: zm, lo: zlo, hi: zhi})
 	}
 
 	// Walk the box in odometer order (deterministic): interior cells
@@ -168,7 +163,6 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 	// with the exact per-row region check of the scan path.
 	out := agg.Zero()
 	var cellsMerged, boundaryRows, runsSkipped int64
-	viol := make([]float64, len(b.q.Dims))
 	cur := make([]int, len(gridCols))
 	copy(cur, los)
 	for {
@@ -194,26 +188,10 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 					out = agg.Merge(out, agg.Partial{Count: cnt, Sum: sum, Min: mn, Max: mx})
 				}
 				cellsMerged++
-			} else if vecPath {
+			} else {
 				visited, skipped := boundaryCellVec(b, cons, zps, g, cell, &out)
 				boundaryRows += visited
 				runsSkipped += skipped
-			} else {
-				rows := g.PostingList(cell)
-				boundaryRows += int64(len(rows))
-				for _, r := range rows {
-					for i := range cons {
-						viol[cons[i].di] = cons[i].dim.Violation(cons[i].vec[r])
-					}
-					if !region.Contains(viol) {
-						continue
-					}
-					v := 1.0
-					if b.aggTbl >= 0 {
-						v = b.aggVec[r]
-					}
-					b.spec.StepValue(&out, v)
-				}
 			}
 		}
 		d := len(cur) - 1
@@ -253,8 +231,8 @@ func (e *Engine) boxAggregate(b *binding, region relq.Region, eo *engineObs) (ag
 // Violation in (iv.Lo, iv.Hi], exactly the per-dimension test
 // region.Contains performs, and cons covers every query dimension for
 // eligible queries. Skipped rows are rows that test would have rejected,
-// so survivors step the aggregate in posting-list order — the same
-// StepValue sequence as the legacy per-row loop, bit for bit.
+// so survivors — exactly the cell's rows inside the region — step the
+// aggregate in posting-list order.
 func boundaryCellVec(b *binding, cons []boxConstraint, zps []zonePred, g *index.Grid, cell int, out *agg.Partial) (visited, skipped int64) {
 	var buf [blockRows]int32
 	g.PostingRuns(cell, blockRows, func(bi int, rows []int32) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"acquire/internal/agg"
+	"acquire/internal/data"
 	"acquire/internal/index"
 	"acquire/internal/relq"
 	"acquire/internal/tpch"
@@ -231,17 +232,21 @@ func TestBuildGridAggIdempotent(t *testing.T) {
 	if err := e.BuildGridAggIndex("users", []string{"age", "income"}, []string{"spend"}, 16); err != nil {
 		t.Fatal(err)
 	}
-	g1 := e.grid("users")
+	users, err := cat.Table("users")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g1 := e.grid("users", users)
 	if err := e.BuildGridAggIndex("users", []string{"AGE", "Income"}, []string{"SPEND"}, 16); err != nil {
 		t.Fatal(err)
 	}
-	if e.grid("users") != g1 {
+	if e.grid("users", users) != g1 {
 		t.Error("same-shape rebuild replaced the grid")
 	}
 	if err := e.BuildGridAggIndex("users", []string{"age"}, nil, 16); err != nil {
 		t.Fatal(err)
 	}
-	if e.grid("users") == g1 {
+	if e.grid("users", users) == g1 {
 		t.Error("different-shape rebuild kept the old grid")
 	}
 }
@@ -249,11 +254,11 @@ func TestBuildGridAggIdempotent(t *testing.T) {
 // TestBoundaryZoneSkip covers the zone-consulting boundary-cell walk:
 // on a clustered layout, a boundary cell's posting list is cut into
 // per-block runs and runs whose blocks provably miss the pruned value
-// hull are skipped outright. The walk must gather strictly fewer
-// posting rows than the legacy per-row walk (the saving BlocksSkipped
-// accounts for), while every partial stays bitwise identical — the
-// per-row keep test enforces both interval sides, so a skipped run
-// can only hold rows the filter would reject anyway.
+// hull are skipped outright. Every skipped run is at least one posting
+// row the walk never gathers (the saving BlocksSkipped accounts for),
+// while every partial still matches NaiveAggregate — the per-row keep
+// test enforces both interval sides, so a skipped run can only hold
+// rows the filter would reject anyway.
 func TestBoundaryZoneSkip(t *testing.T) {
 	const n = 20 * blockRows
 	cat := clusteredCatalog(t, n) // events(val sorted 0..1000, spend)
@@ -282,41 +287,125 @@ func TestBoundaryZoneSkip(t *testing.T) {
 		{{Lo: 10, Hi: 40}}, {{Lo: 33.3, Hi: 66.6}}, {{Lo: 0, Hi: 5}},
 	}
 
-	run := func(legacy bool) (parts []agg.Partial, d Stats) {
-		t.Helper()
-		e.SetLegacyScan(legacy)
-		defer e.SetLegacyScan(false)
-		before := e.Snapshot()
-		for _, q := range queries {
-			for _, region := range regions {
-				p, err := e.Aggregate(q, region)
-				if err != nil {
-					t.Fatal(err)
-				}
-				parts = append(parts, p)
+	before := e.Snapshot()
+	for qi, q := range queries {
+		for ri, region := range regions {
+			p, err := e.Aggregate(q, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := e.NaiveAggregate(q, region)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naiveEqual(t, fmt.Sprintf("boundary query %d region %d", qi, ri), p, want)
+		}
+	}
+	d := e.Snapshot().Sub(before)
+
+	if d.BoundaryRows == 0 {
+		t.Fatalf("expected boundary-cell work: %+v", d)
+	}
+	if d.BlocksSkipped == 0 {
+		t.Fatalf("zone-consulting walk skipped no posting runs: %+v", d)
+	}
+	// The kernel (not the scan) answered: cells merged.
+	if d.CellsMerged == 0 {
+		t.Fatalf("grid kernel not engaged: %+v", d)
+	}
+}
+
+// TestStaleGridRetired checks that a registered grid stops answering
+// once its table has grown or been replaced: the bitmap grid's
+// emptiness proof and the aggregate grid's stored partials and posting
+// lists describe the build-time rows only, so after 5,000 appends to
+// 20K users — and after a same-size catalog Replace of a rebuilt grid
+// — every answer must still match NaiveAggregate.
+func TestStaleGridRetired(t *testing.T) {
+	cols := []string{"age", "income", "distance"}
+	queries := []*relq.Query{
+		usersQuery(relq.AggCount, "", usersDims()...),
+		usersQuery(relq.AggSum, "spend", usersDims()...),
+	}
+	// A broad prefix region, and an age band above the generated
+	// domain that only the appended rows reach (age 40 + 62·[150,200]%).
+	regions := []relq.Region{
+		relq.PrefixRegion([]float64{200, 200, 200}),
+		{{Lo: 150, Hi: 200}, {Lo: -1, Hi: 200}, {Lo: -1, Hi: 200}},
+	}
+	for _, aggGrid := range []bool{false, true} {
+		cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: 20000, Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New(cat)
+		build := func() {
+			t.Helper()
+			var err error
+			if aggGrid {
+				err = e.BuildGridAggIndex("users", cols, []string{"spend"}, 16)
+			} else {
+				err = e.BuildGridIndex("users", cols, 16)
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 		}
-		return parts, e.Snapshot().Sub(before)
-	}
+		check := func(stage string) Stats {
+			t.Helper()
+			before := e.Snapshot()
+			for qi, q := range queries {
+				for ri, region := range regions {
+					got, err := e.Aggregate(q, region)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := e.NaiveAggregate(q, region)
+					if err != nil {
+						t.Fatal(err)
+					}
+					naiveEqual(t, fmt.Sprintf("agg grid=%v %s q=%d region=%d", aggGrid, stage, qi, ri), got, want)
+				}
+			}
+			return e.Snapshot().Sub(before)
+		}
 
-	vecParts, vd := run(false)
-	legParts, ld := run(true)
-	for i := range vecParts {
-		exactEqual(t, fmt.Sprintf("boundary query %d", i), vecParts[i], legParts[i])
-	}
+		build()
+		if d := check("fresh"); d.CellsSkipped+d.CellsMerged == 0 {
+			t.Fatalf("agg grid=%v: fresh grid never answered: %+v", aggGrid, d)
+		}
 
-	if vd.BoundaryRows == 0 || ld.BoundaryRows == 0 {
-		t.Fatalf("expected boundary-cell work on both walks: vec %+v, legacy %+v", vd, ld)
-	}
-	if vd.BlocksSkipped == 0 {
-		t.Fatalf("zone-consulting walk skipped no posting runs: %+v", vd)
-	}
-	if vd.BoundaryRows >= ld.BoundaryRows {
-		t.Fatalf("zone-consulting walk gathered %d boundary rows, legacy %d — expected a saving",
-			vd.BoundaryRows, ld.BoundaryRows)
-	}
-	// The kernel (not the scan) answered: cells merged on both walks.
-	if vd.CellsMerged == 0 || ld.CellsMerged == 0 {
-		t.Fatalf("grid kernel not engaged: vec %+v, legacy %+v", vd, ld)
+		// 5,000 appended copies of existing rows, aged past the domain.
+		tbl, err := cat.Table("users")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ageOrd := tbl.Schema().Ordinal("age")
+		vals := make([]data.Value, len(tbl.Schema().Columns))
+		for r := 0; r < 5000; r++ {
+			for c := range vals {
+				vals[c] = tbl.ValueAt(r, c)
+			}
+			vals[ageOrd] = data.IntValue(vals[ageOrd].I + 100)
+			if err := tbl.AppendRow(vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("after appends")
+
+		// Rebuild, then swap in a reversed copy with the same row count:
+		// only the table identity tells the grid's row ids are stale.
+		build()
+		rev := data.NewTable("users", tbl.Schema())
+		for r := tbl.NumRows() - 1; r >= 0; r-- {
+			for c := range vals {
+				vals[c] = tbl.ValueAt(r, c)
+			}
+			if err := rev.AppendRow(vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cat.Replace(rev)
+		check("after replace")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -175,11 +174,6 @@ type Engine struct {
 	sortIdx  map[colKey]sortEntry
 	zones    map[colKey]zoneEntry
 
-	// legacyScan switches the row-at-a-time scan/join/finalize path
-	// back on (the vectorized block path is the default); it exists as
-	// the equivalence oracle for the block path and as an escape hatch.
-	legacyScan atomic.Bool
-
 	// MaxIntermediate bounds intermediate join sizes (tuples).
 	MaxIntermediate int
 	// Parallelism caps scan/aggregation workers; 0 means GOMAXPROCS.
@@ -268,16 +262,6 @@ func New(cat *data.Catalog) *Engine {
 
 // Catalog exposes the underlying catalog (read-only use).
 func (e *Engine) Catalog() *data.Catalog { return e.cat }
-
-// SetLegacyScan switches between the block-vectorized execution path
-// (false, the default) and the row-at-a-time legacy path (true). Both
-// produce bit-identical results — the legacy path is kept as the
-// equivalence oracle of the property tests and as an operational
-// escape hatch.
-func (e *Engine) SetLegacyScan(on bool) { e.legacyScan.Store(on) }
-
-// LegacyScan reports whether the legacy scan path is active.
-func (e *Engine) LegacyScan() bool { return e.legacyScan.Load() }
 
 // SetObserver attaches an observer: engine counters are mirrored into
 // its registry (acquire_engine_* series, registered eagerly so they
@@ -532,7 +516,8 @@ func (e *Engine) PendingBatches() int64 { return e.pendingBatches.Load() }
 
 // BuildGridIndex builds and registers a §7.4 grid bitmap index over the
 // named numeric columns of a table. Subsequent Aggregate calls use it to
-// skip empty cell queries on that table.
+// skip empty cell queries on that table until the table grows or is
+// replaced.
 func (e *Engine) BuildGridIndex(table string, columns []string, binsPerDim int) error {
 	t, err := e.cat.Table(table)
 	if err != nil {
@@ -552,11 +537,16 @@ func (e *Engine) BuildGridIndex(table string, columns []string, binsPerDim int) 
 // over the named numeric columns: per-cell COUNT, SUM/MIN/MAX of each
 // aggCols column, and posting lists. Subsequent Aggregate calls on the
 // table answer eligible single-table box queries from the stored
-// partials (interior cells) plus posting-list scans (boundary cells).
-// The build is idempotent: when the registered grid already covers the
-// same columns and aggregate columns it is kept as is.
+// partials (interior cells) plus posting-list scans (boundary cells)
+// until the table grows or is replaced. The build is idempotent: when
+// the registered grid is current and already covers the same columns
+// and aggregate columns it is kept as is.
 func (e *Engine) BuildGridAggIndex(table string, columns, aggCols []string, binsPerDim int) error {
-	if g := e.grid(table); g != nil && g.HasAggs() && sameColumns(g.Columns(), columns) {
+	t, err := e.cat.Table(table)
+	if err != nil {
+		return err
+	}
+	if g := e.grid(table, t); g != nil && g.HasAggs() && sameColumns(g.Columns(), columns) {
 		all := true
 		for _, c := range aggCols {
 			if g.AggIndex(c) < 0 {
@@ -567,10 +557,6 @@ func (e *Engine) BuildGridAggIndex(table string, columns, aggCols []string, bins
 		if all {
 			return nil
 		}
-	}
-	t, err := e.cat.Table(table)
-	if err != nil {
-		return err
 	}
 	g, err := index.BuildAgg(t, columns, aggCols, binsPerDim, e.workers())
 	if err != nil {
@@ -603,10 +589,18 @@ func (e *Engine) DropGridIndex(table string) {
 	e.mu.Unlock()
 }
 
-func (e *Engine) grid(table string) *index.Grid {
+// grid returns the table's registered grid index, or nil when none is
+// registered or it was not built from t, the table the caller bound, at
+// its current row count: a grid of a grown or replaced table would miss
+// rows, so the scan path answers instead.
+func (e *Engine) grid(table string, t *data.Table) *index.Grid {
 	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.grids[strings.ToLower(table)]
+	g := e.grids[strings.ToLower(table)]
+	e.mu.RUnlock()
+	if g == nil || !g.BuiltFrom(t) {
+		return nil
+	}
+	return g
 }
 
 // Aggregate executes the query restricted to the violation region and
@@ -676,26 +670,19 @@ func (e *Engine) aggregateRegion(b *binding, region relq.Region, eo *engineObs) 
 		return p, err
 	}
 
-	// Phase 1: per-table candidate scan. On the vectorized path a
-	// static attach plan (computable before any scan, since pickNext
-	// never looks at candidates) enables scan-level semi-join
-	// pushdown: a table whose planned attach edge is an equi edge to
-	// an already-scanned table is pre-filtered by that table's key
-	// set, shrinking the join build side before it is ever built.
-	legacy := e.legacyScan.Load()
+	// Phase 1: per-table candidate scan. A static attach plan
+	// (computable before any scan, since pickNext never looks at
+	// candidates) enables scan-level semi-join pushdown: a table whose
+	// planned attach edge is an equi edge to an already-scanned table
+	// is pre-filtered by that table's key set, shrinking the join build
+	// side before it is ever built.
 	var plan []planEdge
-	if !legacy && len(b.tables) > 1 {
+	if len(b.tables) > 1 {
 		plan = e.attachPlan(b)
 	}
 	cands := make([][]int32, len(b.tables))
 	for ti := range b.tables {
-		var c []int32
-		var err error
-		if legacy {
-			c, err = e.scanTableLegacy(b, region, ti)
-		} else {
-			c, err = e.vscanTable(b, region, ti, semiPredFor(b, plan, cands, ti))
-		}
+		c, err := e.vscanTable(b, region, ti, semiPredFor(b, plan, cands, ti))
 		if err != nil {
 			return agg.Zero(), err
 		}
@@ -712,81 +699,7 @@ func (e *Engine) aggregateRegion(b *binding, region relq.Region, eo *engineObs) 
 	}
 
 	// Phase 3: final filter + aggregate.
-	return e.finalize(b, region, tuples, order)
-}
-
-// scanTable returns the candidate row indexes of table ti: rows passing
-// every fixed filter on the table and every local select dimension's
-// region upper bound. Dispatches between the block-vectorized default
-// and the row-at-a-time legacy path; both produce the identical
-// candidate list in the identical order.
-func (e *Engine) scanTable(b *binding, region relq.Region, ti int) ([]int32, error) {
-	if e.legacyScan.Load() {
-		return e.scanTableLegacy(b, region, ti)
-	}
-	return e.vscanTable(b, region, ti, nil)
-}
-
-// scanTableLegacy is the row-at-a-time scan.
-//
-// Access path selection mirrors a DBMS with secondary indexes: the most
-// selective applicable range condition (a fixed range or a select
-// dimension's value interval under the region) drives candidate
-// generation through a sorted index; the remaining predicates are
-// verified per candidate. When no condition narrows the table below
-// half its rows, a full scan is used instead. The vectorized path
-// shares this access-path choice (scanDrives/pickIndexDrive) and only
-// changes how the surviving predicates are evaluated.
-func (e *Engine) scanTableLegacy(b *binding, region relq.Region, ti int) ([]int32, error) {
-	t := b.tables[ti]
-	n := t.NumRows()
-	locals := localDimsFor(b, region, ti)
-	ranges := b.ranges[ti]
-	strs := b.strFlts[ti]
-
-	drives, empty := scanDrives(b, region, ti)
-	if empty {
-		return nil, nil // some dimension admits nothing
-	}
-	candidates, indexed, _, err := e.pickIndexDrive(t, n, drives)
-	if err != nil {
-		return nil, err
-	}
-	fullScan := !indexed
-	scanned := int64(n)
-	if !fullScan {
-		scanned = int64(len(candidates))
-	}
-	e.countRows(scanned)
-	if eo := e.obsState.Load(); eo != nil && eo.o.LogEnabled(slog.LevelDebug) {
-		eo.o.Debug("engine.scan", "table", b.q.Tables[ti],
-			"rows", scanned, "full_scan", fullScan)
-	}
-
-	verify := func(r int32) bool {
-		for i := range ranges {
-			v := ranges[i].vec[r]
-			if v < ranges[i].lo || v > ranges[i].hi {
-				return false
-			}
-		}
-		for i := range strs {
-			if _, ok := strs[i].set[strs[i].vec[r]]; !ok {
-				return false
-			}
-		}
-		for i := range locals {
-			if locals[i].dim.Violation(locals[i].vec[r]) > locals[i].hi {
-				return false
-			}
-		}
-		return true
-	}
-
-	if fullScan {
-		return e.parallelFilter(n, verify), nil
-	}
-	return e.parallelFilterRows(candidates, verify), nil
+	return e.finalizeVec(b, region, tuples, order)
 }
 
 // cellProvablyEmpty consults a registered grid index to prove the
@@ -795,7 +708,7 @@ func (e *Engine) scanTableLegacy(b *binding, region relq.Region, ti int) ([]int3
 // table and no occupied grid cell intersects any of the region's value
 // boxes.
 func (e *Engine) cellProvablyEmpty(b *binding, region relq.Region, ti int) bool {
-	g := e.grid(b.q.Tables[ti])
+	g := e.grid(b.q.Tables[ti], b.tables[ti])
 	if g == nil {
 		return false
 	}
@@ -928,7 +841,7 @@ func (e *Engine) join(b *binding, region relq.Region, cands [][]int32) ([]int32,
 			}
 		}
 		var err error
-		tuples, err = e.attach(b, region, tuples, order, attached, cands, next, edge)
+		tuples, err = e.attachVec(b, region, tuples, order, attached, cands, next, edge)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -975,182 +888,4 @@ func (e *Engine) pickNext(b *binding, attached map[int]int) (int, *joinEdge) {
 		}
 	}
 	return -1, nil
-}
-
-// attach joins the tuples with table `next` via the edge, dispatching
-// between the pre-sized vectorized attach and the incremental legacy
-// one. Both emit the identical tuple stream (same tuples, same order,
-// same overflow error).
-func (e *Engine) attach(b *binding, region relq.Region, tuples []int32, order []int, attached map[int]int, cands [][]int32, next int, edge *joinEdge) ([]int32, error) {
-	if e.legacyScan.Load() {
-		return e.attachLegacy(b, region, tuples, order, attached, cands, next, edge)
-	}
-	return e.attachVec(b, region, tuples, order, attached, cands, next, edge)
-}
-
-// attachLegacy is the row-at-a-time attach with incrementally grown
-// output and hash table.
-func (e *Engine) attachLegacy(b *binding, region relq.Region, tuples []int32, order []int, attached map[int]int, cands [][]int32, next int, edge *joinEdge) ([]int32, error) {
-	stride := len(order)
-	ntup := len(tuples) / max(stride, 1)
-	nextCands := cands[next]
-	newStride := stride + 1
-
-	emit := func(out []int32, ti int, row int32) ([]int32, error) {
-		if (len(out)+newStride)/newStride > e.MaxIntermediate {
-			return nil, fmt.Errorf("exec: intermediate join result exceeds %d tuples", e.MaxIntermediate)
-		}
-		out = append(out, tuples[ti*stride:(ti+1)*stride]...)
-		out = append(out, row)
-		return out, nil
-	}
-
-	var out []int32
-	switch {
-	case edge != nil && edge.equi != nil:
-		ej := edge.equi
-		// Probe side is the attached table; build side is `next`.
-		var probeVec, buildVec []float64
-		var probeCoef, buildCoef float64
-		var probePos int
-		if !edge.flip { // next is right side
-			probeVec, probeCoef, probePos = ej.lvec, ej.lc, attached[ej.ltbl]
-			buildVec, buildCoef = ej.rvec, ej.rc
-		} else {
-			probeVec, probeCoef, probePos = ej.rvec, ej.rc, attached[ej.rtbl]
-			buildVec, buildCoef = ej.lvec, ej.lc
-		}
-		ht := make(map[float64][]int32, len(nextCands))
-		for _, r := range nextCands {
-			k := buildCoef * buildVec[r]
-			ht[k] = append(ht[k], r)
-		}
-		for ti := 0; ti < ntup; ti++ {
-			probeRow := tuples[ti*stride+probePos]
-			k := probeCoef * probeVec[probeRow]
-			for _, r := range ht[k] {
-				var err error
-				out, err = emit(out, ti, r)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-
-	case edge != nil && edge.band != nil:
-		jd := edge.band
-		maxBand := jd.dim.BoundAt(region[jd.di].Hi)
-		var probeVec, buildVec []float64
-		var probeCoef, buildCoef float64
-		var probePos int
-		if !edge.flip { // next is right side
-			probeVec, probeCoef, probePos = jd.lvec, jd.lc, attached[jd.ltbl]
-			buildVec, buildCoef = jd.rvec, jd.rc
-		} else {
-			probeVec, probeCoef, probePos = jd.rvec, jd.rc, attached[jd.rtbl]
-			buildVec, buildCoef = jd.lvec, jd.lc
-		}
-		if buildCoef == 0 {
-			return nil, fmt.Errorf("exec: zero join coefficient")
-		}
-		// Sort build side by scaled value; binary-search the band.
-		type kv struct {
-			key float64
-			row int32
-		}
-		sorted := make([]kv, len(nextCands))
-		for i, r := range nextCands {
-			sorted[i] = kv{key: buildCoef * buildVec[r], row: r}
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
-		for ti := 0; ti < ntup; ti++ {
-			probeRow := tuples[ti*stride+probePos]
-			center := probeCoef * probeVec[probeRow]
-			lo := sort.Search(len(sorted), func(i int) bool { return sorted[i].key >= center-maxBand })
-			for i := lo; i < len(sorted) && sorted[i].key <= center+maxBand; i++ {
-				var err error
-				out, err = emit(out, ti, sorted[i].row)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-
-	default: // cartesian
-		for ti := 0; ti < ntup; ti++ {
-			for _, r := range nextCands {
-				var err error
-				out, err = emit(out, ti, r)
-				if err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return out, nil
-}
-
-// finalize verifies every join condition and the region on each tuple,
-// folding qualifying tuples into the aggregate. Dispatches between the
-// block-compacted vectorized fold and the row-at-a-time legacy one;
-// both step the aggregate over the same tuples in the same order on the
-// same parallelFold chunk grid, so even SUM bits agree. The vectorized
-// fold checks region dimensions individually, which requires every
-// query dimension to be bound (always true today — the guard is belt
-// and braces against future dimension kinds).
-func (e *Engine) finalize(b *binding, region relq.Region, tuples []int32, order []int) (agg.Partial, error) {
-	if e.legacyScan.Load() || len(b.selDims)+len(b.joinDims) != len(b.q.Dims) {
-		return e.finalizeLegacy(b, region, tuples, order)
-	}
-	return e.finalizeVec(b, region, tuples, order)
-}
-
-func (e *Engine) finalizeLegacy(b *binding, region relq.Region, tuples []int32, order []int) (agg.Partial, error) {
-	stride := len(order)
-	if stride == 0 {
-		return agg.Zero(), nil
-	}
-	pos := make([]int, len(b.tables)) // table index -> slot in tuple
-	for slot, ti := range order {
-		pos[ti] = slot
-	}
-	ntup := len(tuples) / stride
-	e.countTuples(int64(ntup))
-
-	part := e.parallelFold(ntup, func(lo, hi int) agg.Partial {
-		viol := make([]float64, len(b.q.Dims))
-		p := agg.Zero()
-	tuple:
-		for t := lo; t < hi; t++ {
-			row := tuples[t*stride : (t+1)*stride]
-
-			for i := range b.equiJoins {
-				ej := &b.equiJoins[i]
-				l := ej.lc * ej.lvec[row[pos[ej.ltbl]]]
-				r := ej.rc * ej.rvec[row[pos[ej.rtbl]]]
-				if l != r {
-					continue tuple
-				}
-			}
-			for i := range b.selDims {
-				sd := &b.selDims[i]
-				viol[sd.di] = sd.dim.Violation(sd.vec[row[pos[sd.tbl]]])
-			}
-			for i := range b.joinDims {
-				jd := &b.joinDims[i]
-				viol[jd.di] = jd.dim.JoinViolation(jd.lvec[row[pos[jd.ltbl]]], jd.rvec[row[pos[jd.rtbl]]])
-			}
-			if !region.Contains(viol) {
-				continue tuple
-			}
-
-			v := 1.0
-			if b.aggTbl >= 0 {
-				v = b.aggVec[row[pos[b.aggTbl]]]
-			}
-			b.spec.StepValue(&p, v)
-		}
-		return p
-	})
-	return part, nil
 }

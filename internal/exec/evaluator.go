@@ -26,8 +26,8 @@ import (
 // shard boundaries, bounded by agg.ApproxEqual's tolerance) — and must
 // stop early when the batch context is cancelled.
 type Evaluator interface {
-	// Aggregate executes the query restricted to one region — the
-	// cache-bypassing oracle path.
+	// Aggregate executes the query restricted to one region,
+	// bypassing the region cache.
 	Aggregate(q *relq.Query, region relq.Region) (agg.Partial, error)
 	// AggregateBatch executes one partial per region on a worker pool.
 	AggregateBatch(ctx context.Context, q *relq.Query, regions []relq.Region) ([]agg.Partial, error)
@@ -42,12 +42,6 @@ type Evaluator interface {
 	// SetParallelism bounds the evaluation worker pool(s); 0 restores
 	// GOMAXPROCS. Results are identical for every worker count.
 	SetParallelism(workers int)
-
-	// SetLegacyScan(true) switches from the block-vectorized scan path
-	// (the default) to the row-at-a-time legacy path. Both are
-	// bit-identical; the legacy path serves as equivalence oracle and
-	// operational escape hatch.
-	SetLegacyScan(on bool)
 
 	// SetAutoCluster(true) turns on workload-adaptive clustering: scans
 	// feed per-column range statistics and the engine re-sorts tables

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -459,6 +460,30 @@ func TestBindErrors(t *testing.T) {
 	}
 	if _, err := e.NaiveAggregate(q, relq.Region{}); err == nil {
 		t.Error("naive region arity mismatch: expected error")
+	}
+}
+
+// TestUnknownDimKindRejected checks that a dimension whose kind is
+// unset or unknown is a bind error on every entry point — the engine
+// never answers a query with a dimension it cannot evaluate.
+func TestUnknownDimKindRejected(t *testing.T) {
+	cat := smallCatalog(t, 5, 5, 11)
+	e := New(cat)
+	for _, kind := range []relq.DimKind{0, relq.JoinBand + 1, 255} {
+		q := countQuery(
+			relq.Dimension{Kind: relq.SelectLE, Col: relq.ColumnRef{Table: "part", Column: "p_retailprice"}, Bound: 1000, Width: 2000},
+			relq.Dimension{Kind: kind, Col: relq.ColumnRef{Table: "part", Column: "p_size"}, Bound: 10, Width: 50},
+		)
+		region := relq.PrefixRegion([]float64{5, 5})
+		if _, err := e.Aggregate(q, region); err == nil {
+			t.Errorf("kind %d: Aggregate accepted the query", kind)
+		}
+		if _, err := e.AggregateBatch(context.Background(), q, []relq.Region{region}); err == nil {
+			t.Errorf("kind %d: AggregateBatch accepted the query", kind)
+		}
+		if _, err := e.NaiveAggregate(q, region); err == nil {
+			t.Errorf("kind %d: NaiveAggregate accepted the query", kind)
+		}
 	}
 }
 

@@ -63,7 +63,7 @@ func (e *Engine) Explain(q *relq.Query, region relq.Region) (*Plan, error) {
 	}
 	plan := &Plan{}
 
-	// Per-table access decisions, mirroring scanTable's logic.
+	// Per-table access decisions, mirroring vscanTable's logic.
 	access := make([]PlanStep, len(b.tables))
 	for ti, t := range b.tables {
 		n := t.NumRows()

@@ -10,14 +10,14 @@ import (
 
 // This file holds the vectorized join machinery: an open-addressed
 // float64 key set (semi-join pushdown), an order-preserving grouped
-// hash table (the pre-sized equi-join build side), and attachVec — the
-// block-path counterpart of the row-at-a-time attach.
+// hash table (the pre-sized equi-join build side), and attachVec, the
+// join stage of the scan path.
 //
-// Both hash structures replicate Go's map semantics for float64 keys,
-// which the legacy path relies on: +0 and -0 are the same key, and a
-// NaN key is unreachable — a build row with a NaN key can never match
-// any probe (NaN != NaN), so dropping such rows at insert preserves
-// the emitted tuple stream exactly.
+// Both hash structures keep the float64 equality NaiveAggregate's
+// equi-join test uses (Go's map semantics for float64 keys): +0 and -0
+// are the same key, and a NaN key is unreachable — a build row with a
+// NaN key can never match any probe (NaN != NaN), so dropping such
+// rows at insert loses no tuple.
 
 // hashF64 mixes the normalized bit pattern of a key (splitmix64-style
 // finalizer — cheap and well distributed for the clustered integer-ish
@@ -169,8 +169,8 @@ func (s *f64Set) contains(k float64) bool {
 }
 
 // f64Groups is a grouped hash table: every distinct key maps to the
-// list of build rows carrying it, in build-input order — exactly the
-// per-key append order the legacy map build produces. Built in two
+// list of build rows carrying it, in build-input order — the per-key
+// append order a map[float64][]int32 build produces. Built in two
 // passes (count, prefix-sum, fill) into one exact-capacity rows array,
 // so nothing grows incrementally.
 type f64Groups struct {
@@ -336,9 +336,10 @@ func (g *f64Groups) lookup(k float64) []int32 {
 	}
 }
 
-// attachVec joins the tuples with table `next` via the edge — the
-// vectorized attach. It emits the exact tuple stream of the legacy
-// attach (same tuples, same order, same overflow error) but sizes
+// attachVec joins the tuples with table `next` via the edge: per
+// probe tuple, in probe order, every matching build row (in
+// build-input order on equi edges, in key order on band edges) or
+// every candidate (cartesian). It sizes
 // everything up front: a counting pass fixes the output length so the
 // result array is allocated once at exact capacity, the equi build
 // side goes through the two-pass grouped table instead of an

@@ -46,7 +46,7 @@ func (e *Engine) Materialize(q *relq.Query, region relq.Region, limit int) (*Res
 
 	cands := make([][]int32, len(b.tables))
 	for ti := range b.tables {
-		c, err := e.scanTable(b, region, ti)
+		c, err := e.vscanTable(b, region, ti, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"acquire/internal/data"
 	"acquire/internal/relq"
 	"acquire/internal/tpch"
 )
@@ -109,18 +108,5 @@ func TestParallelDeterministic(t *testing.T) {
 		if again.Sum != first.Sum || again.Count != first.Count {
 			t.Fatalf("run %d differs: %v/%d vs %v/%d", i, again.Sum, again.Count, first.Sum, first.Count)
 		}
-	}
-}
-
-func TestParallelFilterSmallFallback(t *testing.T) {
-	e := New(data.NewCatalog())
-	e.Parallelism = 8
-	out := e.parallelFilter(100, func(r int32) bool { return r%2 == 0 })
-	if len(out) != 50 || out[0] != 0 || out[49] != 98 {
-		t.Errorf("parallelFilter small = %d rows", len(out))
-	}
-	out = e.parallelFilterRows([]int32{5, 7, 8}, func(r int32) bool { return r > 6 })
-	if len(out) != 2 {
-		t.Errorf("parallelFilterRows = %v", out)
 	}
 }

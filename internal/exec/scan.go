@@ -38,60 +38,17 @@ func (e *Engine) ViolationScan(q *relq.Query) ([]RowViolations, error) {
 		return nil, fmt.Errorf("exec: ViolationScan does not support join dimensions")
 	}
 	e.countQueries(1)
-	n := b.tables[0].NumRows()
-	if e.legacyScan.Load() {
-		e.countRows(int64(n))
-		return e.violationScanLegacy(b, n)
-	}
-	return e.violationScanVec(b, n)
-}
-
-// violationScanLegacy is the row-at-a-time scan with one branchy
-// multi-predicate loop per row.
-func (e *Engine) violationScanLegacy(b *binding, n int) ([]RowViolations, error) {
-	d := len(b.q.Dims)
-	out := make([]RowViolations, 0, n)
-	// One flat backing array for all violation vectors: a 1M-row scan
-	// must not allocate 1M tiny slices.
-	backing := make([]float64, 0, n*d)
-rows:
-	for r := 0; r < n; r++ {
-		for _, rb := range b.ranges[0] {
-			v := rb.vec[r]
-			if v < rb.lo || v > rb.hi {
-				continue rows
-			}
-		}
-		for _, sb := range b.strFlts[0] {
-			if _, ok := sb.set[sb.vec[r]]; !ok {
-				continue rows
-			}
-		}
-		// cap(backing) is n*d, so extending the length never
-		// reallocates (which would invalidate earlier sub-slices).
-		start := len(backing)
-		backing = backing[:start+d]
-		viol := backing[start : start+d]
-		for _, sd := range b.selDims {
-			viol[sd.di] = sd.dim.Violation(sd.vec[r])
-		}
-		v := 1.0
-		if b.aggTbl >= 0 {
-			v = b.aggVec[r]
-		}
-		out = append(out, RowViolations{Row: int32(r), Viol: viol, AggValue: v})
-	}
-	return out, nil
+	return e.violationScanVec(b, b.tables[0].NumRows())
 }
 
 // violationScanVec is the block-vectorized scan: fixed ranges and
 // string sets run through the shared selection-vector filter
 // primitives, and blocks a fixed-range zone map proves empty are
 // skipped without touching rows. RowsScanned counts only rows in
-// visited blocks; skipped blocks are reported via BlocksSkipped. The
-// emitted rows, their order and their violation vectors are identical
-// to the legacy scan (filterRange keeps NaN exactly as the legacy
-// reject test does).
+// visited blocks; skipped blocks are reported via BlocksSkipped. Rows
+// are emitted in row order: exactly the rows passing the fixed filters
+// under NaiveAggregate's reject tests (filterRange keeps NaN, as
+// `v < lo || v > hi` does), each with its own violation vector.
 func (e *Engine) violationScanVec(b *binding, n int) ([]RowViolations, error) {
 	t := b.tables[0]
 	ranges := b.ranges[0]

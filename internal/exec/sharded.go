@@ -142,14 +142,6 @@ func (sv *ShardedEvaluator) SetParallelism(workers int) {
 	}
 }
 
-// SetLegacyScan switches every shard engine between the vectorized and
-// legacy scan paths.
-func (sv *ShardedEvaluator) SetLegacyScan(on bool) {
-	for _, e := range sv.engines {
-		e.SetLegacyScan(on)
-	}
-}
-
 // SetAutoCluster switches workload-adaptive clustering on every shard
 // engine. Each shard learns from its own scans and re-sorts its own
 // row range — shard catalogs are independent, so a re-sort never leaks

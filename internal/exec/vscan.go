@@ -10,24 +10,25 @@ import (
 	"acquire/internal/relq"
 )
 
-// This file is the block-vectorized scan path — the default execution
-// mode. It produces surviving tuples and aggregates that are
-// bit-identical to the row-at-a-time legacy path (SetLegacyScan(true)):
-// access-path selection is shared code, blocks are visited in ascending
-// row order, filter chains keep exactly the rows the legacy verify loop
-// keeps (including NaN behavior), and the finalize fold steps the
-// aggregate in the same tuple order with the same chunk association.
-// What changes is the shape of the work: per-block selection vectors
-// compacted one predicate at a time, zone maps that skip blocks which
-// provably cannot contain a candidate, scan-level semi-join pushdown,
-// and pre-sized join hash tables.
+// This file is the block-vectorized scan path — the engine's only
+// execution path. Its oracle is NaiveAggregate: filter chains keep
+// exactly the rows the oracle's per-row reject tests keep (including
+// NaN behavior), so COUNT, MIN and MAX match it exactly (a zero
+// extreme up to its sign) and SUM up to float association
+// (vscan_test.go checks both). The fold itself is deterministic: blocks
+// are visited in ascending row order and the finalize fold steps the
+// aggregate in tuple order on a chunk grid fixed by the input size, so
+// SUM bits do not depend on the worker count. The work is shaped for
+// speed: per-block selection vectors compacted one predicate at a
+// time, zone maps that skip blocks which provably cannot contain a
+// candidate, scan-level semi-join pushdown, and pre-sized join hash
+// tables.
 //
-// One nuance since two-sided pruneInterval hulls landed: on zone-pruned
-// full scans the candidate list may be a strict subset of the legacy
-// path's — blocks whose every row provably fails the region's *lower*
-// bound are dropped at scan time, where the legacy path carries such
-// rows until finalize rejects them per tuple. Surviving tuples, their
-// order, and every aggregate/violation bit are identical.
+// On zone-pruned full scans, blocks whose every row provably fails the
+// region's *lower* bound are dropped at scan time (two-sided
+// pruneInterval hulls); the per-row filters enforce only the upper
+// bound, and finalize rejects the remaining lower-bound misses per
+// tuple.
 
 // localDim is one select dimension local to the scanned table: rows
 // with Violation(v) > hi (the region's upper bound on the dimension)
@@ -90,10 +91,10 @@ func scanDrives(b *binding, region relq.Region, ti int) (drives []scanDrive, emp
 
 // pickIndexDrive selects the most selective driving interval and, when
 // it narrows the table to at most half its rows, returns the matching
-// candidate rows from the sorted index (in value order — the shared
-// access-path choice of both scan paths). It also returns every drive's
-// exact in-interval row count from the sorted indexes (margs, aligned
-// with drives): the per-column *marginal* selectivities the workload
+// candidate rows from the sorted index (in value order, NaN rows
+// last). It also returns every drive's candidate count from the sorted
+// indexes (margs, aligned with drives; rows in the interval plus the
+// column's NaN rows): the per-column *marginal* selectivities the workload
 // statistics learn from, already computed here as a byproduct of access-
 // path selection.
 //
@@ -106,7 +107,7 @@ func scanDrives(b *binding, region relq.Region, ti int) (drives []scanDrive, emp
 // per-row gathers — and on a Z-order layout the full scan prunes on
 // *both* interleaved axes where the index can use only one. Clearly
 // narrow drives (<= n/8) still take the index. Both scan paths share
-// this choice, so legacy/vectorized equivalence is unaffected.
+// this choice.
 func (e *Engine) pickIndexDrive(t *data.Table, n int, drives []scanDrive) ([]int32, bool, []int, error) {
 	if len(drives) == 0 {
 		return nil, false, nil, nil
@@ -166,9 +167,9 @@ type semiPred struct {
 }
 
 // blockFilter is the compiled predicate chain applied to each block's
-// selection vector. Predicate order matches the legacy verify loop
-// (ranges, strings, locals); the chain is a conjunction, so the kept
-// set is order-independent, and each filter preserves row order.
+// selection vector in a fixed predicate order (ranges, strings,
+// locals); the chain is a conjunction, so the kept set is
+// order-independent, and each filter preserves row order.
 type blockFilter struct {
 	ranges []rangeBind
 	strs   []stringBind
@@ -264,12 +265,17 @@ func (e *Engine) zonePreds(t *data.Table, f *blockFilter) []zonePred {
 	return zps
 }
 
-// vscanTable is the vectorized scanTable: identical access-path choice
-// and candidate output, executed block-at-a-time. On the full-scan path
-// blocks failing a zone test are skipped without touching rows —
-// RowsScanned counts only rows in visited blocks (skipped blocks are
-// reported via BlocksSkipped), keeping the rows-touched statistics
-// honest about physical work.
+// vscanTable returns the candidate row indexes of table ti: rows passing
+// every fixed filter on the table, every local select dimension's
+// region upper bound and, when semi is set, the semi-join key set.
+//
+// Access path selection mirrors a DBMS with secondary indexes: the most
+// selective applicable range condition drives candidate generation
+// through a sorted index (pickIndexDrive); otherwise the table is
+// scanned block-at-a-time. On the full-scan path blocks failing a zone
+// test are skipped without touching rows — RowsScanned counts only rows
+// in visited blocks (skipped blocks are reported via BlocksSkipped),
+// keeping the rows-touched statistics honest about physical work.
 func (e *Engine) vscanTable(b *binding, region relq.Region, ti int, semi *semiPred) ([]int32, error) {
 	t := b.tables[ti]
 	n := t.NumRows()
@@ -524,12 +530,13 @@ func semiPredFor(b *binding, plan []planEdge, cands [][]int32, ti int) *semiPred
 	return &semiPred{set: set, vec: bvec, coef: bc}
 }
 
-// finalizeVec is the vectorized finalize: the same parallelFold chunk
-// grid as the legacy path (identical chunk boundaries, identical merge
-// order), with each chunk processed in blockRows-sized sub-blocks whose
-// selection vector is compacted one condition at a time. Qualifying
-// tuples step the aggregate in ascending tuple order — the exact
-// StepValue sequence of the legacy fold, so SUM bits match.
+// finalizeVec verifies every join condition and the region on each
+// tuple and folds the qualifying tuples into the aggregate. It runs on
+// the parallelFold chunk grid (boundaries fixed by the tuple count,
+// fixed merge order), each chunk processed in blockRows-sized
+// sub-blocks whose selection vector is compacted one condition at a
+// time. Qualifying tuples step the aggregate in ascending tuple order,
+// so SUM bits are identical for every worker count.
 func (e *Engine) finalizeVec(b *binding, region relq.Region, tuples []int32, order []int) (agg.Partial, error) {
 	stride := len(order)
 	if stride == 0 {

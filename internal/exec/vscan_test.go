@@ -13,13 +13,15 @@ import (
 	"acquire/internal/tpch"
 )
 
-// This file holds the vectorized-vs-legacy equivalence property suite:
-// the block scan path must be *bit-identical* to the row-at-a-time
-// path — same Count, same Sum bits, same Min/Max/User bits — across
-// aggregates, joins, fixed predicates, NaN/±Inf columns, tail blocks,
-// shard counts and cache configurations. Tolerance-free comparison is
-// the point: any reassociation, reordering, or row loss in the
-// vectorized path shows up as a bit difference here.
+// This file holds the scan-path equivalence property suite: the block
+// scan path must agree with NaiveAggregate — the exhaustive nested-loop
+// oracle — across aggregates, joins, fixed predicates, NaN/±Inf
+// columns, tail blocks, shard counts, cache configurations and table
+// mutations. COUNT, MIN and MAX must be bit-identical (any row loss or
+// extra row shows up there), except that a zero extreme may differ in
+// sign: the first zero folded wins, and the oracle's nested loops visit
+// join tuples in another order than the engine. SUM and UDA sums may
+// differ from the oracle's fold only by float association.
 
 // exactEqual fails unless two partials are bitwise identical.
 func exactEqual(t *testing.T, label string, got, want agg.Partial) {
@@ -29,7 +31,23 @@ func exactEqual(t *testing.T, label string, got, want agg.Partial) {
 		math.Float64bits(got.Min) != math.Float64bits(want.Min) ||
 		math.Float64bits(got.Max) != math.Float64bits(want.Max) ||
 		math.Float64bits(got.User) != math.Float64bits(want.User) {
-		t.Fatalf("%s: vectorized %+v != legacy %+v", label, got, want)
+		t.Fatalf("%s: got %+v, want bitwise %+v", label, got, want)
+	}
+}
+
+// naiveEqual fails unless an engine partial agrees with the
+// NaiveAggregate oracle: Count exactly, Min and Max bitwise (up to the
+// sign of a zero), Sum and User equal (NaN matching NaN, an infinity
+// matching itself) or within agg.ApproxEqual's relative tolerance.
+func naiveEqual(t *testing.T, label string, got, want agg.Partial) {
+	t.Helper()
+	extreme := func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y) || x == 0 && y == 0
+	}
+	same := func(x, y float64) bool { return x == y || math.IsNaN(x) && math.IsNaN(y) }
+	if got.Count != want.Count || !extreme(got.Min, want.Min) || !extreme(got.Max, want.Max) ||
+		!(same(got.Sum, want.Sum) && same(got.User, want.User)) && !agg.ApproxEqual(got, want, 1e-9) {
+		t.Fatalf("%s: engine %+v != NaiveAggregate %+v", label, got, want)
 	}
 }
 
@@ -202,31 +220,25 @@ func registerUDAs(t testing.TB) {
 // TestVectorLegacyEquivalence runs 160 randomized (query, region, agg)
 // triples — COUNT/SUM/MIN/MAX/AVG plus a UDA, equi and band joins,
 // fixed ranges, string sets, NaN/±Inf aggregate values — through the
-// vectorized and legacy engines and requires bitwise-identical
-// partials.
+// engine and NaiveAggregate and requires agreeing partials.
 func TestVectorLegacyEquivalence(t *testing.T) {
 	registerUDAs(t)
 	cat := messyCatalog(t, 2500, 300, 7)
-	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
-	if vec.LegacyScan() || !leg.LegacyScan() {
-		t.Fatal("legacy-scan flags not set as expected")
-	}
+	e := New(cat)
 
 	rng := rand.New(rand.NewSource(41))
 	nonzero := 0
 	for trial := 0; trial < 160; trial++ {
 		q, region := messyQuery(rng)
-		pv, errV := vec.Aggregate(q, region)
-		pl, errL := leg.Aggregate(q, region)
-		if (errV != nil) != (errL != nil) {
-			t.Fatalf("trial %d: error divergence: vector=%v legacy=%v", trial, errV, errL)
+		pv, errV := e.Aggregate(q, region)
+		pn, errN := e.NaiveAggregate(q, region)
+		if (errV != nil) != (errN != nil) {
+			t.Fatalf("trial %d: error divergence: engine=%v naive=%v", trial, errV, errN)
 		}
 		if errV != nil {
 			continue
 		}
-		exactEqual(t, fmt.Sprintf("trial %d (%v, region %v)", trial, q.Tables, region), pv, pl)
+		naiveEqual(t, fmt.Sprintf("trial %d (%v, region %v)", trial, q.Tables, region), pv, pn)
 		if pv.Count > 0 {
 			nonzero++
 		}
@@ -244,28 +256,26 @@ func TestVectorLegacyEquivalenceTailBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, n := range []int{1, 16, blockRows - 1, blockRows, blockRows + 1, 2*blockRows + 511} {
 		cat := messyCatalog(t, n, 50, int64(n))
-		vec := New(cat)
-		leg := New(cat)
-		leg.SetLegacyScan(true)
+		e := New(cat)
 		for trial := 0; trial < 8; trial++ {
 			q, region := messyQuery(rng)
-			pv, errV := vec.Aggregate(q, region)
-			pl, errL := leg.Aggregate(q, region)
-			if (errV != nil) != (errL != nil) {
-				t.Fatalf("n=%d trial %d: error divergence: %v vs %v", n, trial, errV, errL)
+			pv, errV := e.Aggregate(q, region)
+			pn, errN := e.NaiveAggregate(q, region)
+			if (errV != nil) != (errN != nil) {
+				t.Fatalf("n=%d trial %d: error divergence: %v vs %v", n, trial, errV, errN)
 			}
 			if errV != nil {
 				continue
 			}
-			exactEqual(t, fmt.Sprintf("n=%d trial %d", n, trial), pv, pl)
+			naiveEqual(t, fmt.Sprintf("n=%d trial %d", n, trial), pv, pn)
 		}
 	}
 }
 
 // TestVectorLegacyEquivalenceSharded drives the sweep through
 // ShardedEvaluators at shard counts 1-16 with the region cache on and
-// off. Vector and legacy evaluators share the same shard layout and
-// merge order, so even SUM must agree bit for bit.
+// off, against NaiveAggregate over the unsharded catalog. A cached
+// re-execution must serve bit-identical partials.
 func TestVectorLegacyEquivalenceSharded(t *testing.T) {
 	const rows = 3000
 	cat, err := tpch.GenerateUsers(tpch.UsersConfig{Rows: rows, Seed: 13})
@@ -281,13 +291,12 @@ func TestVectorLegacyEquivalenceSharded(t *testing.T) {
 		usersQuery(relq.AggAvg, "spend", dims...),
 	}
 
+	oracle := New(cat)
 	rng := rand.New(rand.NewSource(29))
 	ctx := context.Background()
 	for _, shards := range []int{1, 2, 3, 5, 16} {
 		for _, cache := range []bool{false, true} {
 			vec := newShardedUsers(t, cat, shards, shardCfg{cache: cache})
-			leg := newShardedUsers(t, cat, shards, shardCfg{cache: cache})
-			leg.SetLegacyScan(true)
 
 			regions := make([]relq.Region, 6)
 			for i := range regions {
@@ -307,12 +316,12 @@ func TestVectorLegacyEquivalenceSharded(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pl, err := leg.AggregateBatch(ctx, q, regions)
-				if err != nil {
-					t.Fatal(err)
-				}
 				for i := range pv {
-					exactEqual(t, fmt.Sprintf("shards=%d cache=%v q=%d region=%d", shards, cache, qi, i), pv[i], pl[i])
+					want, err := oracle.NaiveAggregate(q, regions[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					naiveEqual(t, fmt.Sprintf("shards=%d cache=%v q=%d region=%d", shards, cache, qi, i), pv[i], want)
 				}
 				if cache {
 					// Cached re-execution must serve identical partials.
@@ -321,7 +330,7 @@ func TestVectorLegacyEquivalenceSharded(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i := range pv2 {
-						exactEqual(t, fmt.Sprintf("shards=%d cached-rerun q=%d region=%d", shards, qi, i), pv2[i], pl[i])
+						exactEqual(t, fmt.Sprintf("shards=%d cached-rerun q=%d region=%d", shards, qi, i), pv2[i], pv[i])
 					}
 				}
 			}
@@ -355,13 +364,11 @@ func clusteredCatalog(t testing.TB, n int) *data.Catalog {
 // column, a broad fixed range (too wide for the index path, narrow
 // enough to exclude whole blocks) must skip blocks without touching
 // their rows, RowsScanned must exclude the skipped rows, and the result
-// must still match the legacy scan exactly.
+// must still match NaiveAggregate.
 func TestVectorZoneSkip(t *testing.T) {
 	const n = 20 * blockRows
 	cat := clusteredCatalog(t, n)
 	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
 
 	q := &relq.Query{
 		Tables: []string{"events"},
@@ -386,11 +393,11 @@ func TestVectorZoneSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := vec.Snapshot().Sub(before)
-	pl, err := leg.Aggregate(q, region)
+	pn, err := vec.NaiveAggregate(q, region)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactEqual(t, "zone-skip query", pv, pl)
+	naiveEqual(t, "zone-skip query", pv, pn)
 
 	if d.BlocksSkipped == 0 {
 		t.Fatalf("expected zone maps to skip blocks on clustered data; stats: %+v", d)
@@ -405,27 +412,35 @@ func TestVectorZoneSkip(t *testing.T) {
 		t.Fatalf("scanned rows (%d) + skipped rows (%d blocks) should cover the table: got %d, want %d",
 			d.RowsScanned, d.BlocksSkipped, got, n)
 	}
-
-	// The legacy path reports every row scanned and no block counters.
-	legBefore := leg.Snapshot()
-	if _, err := leg.Aggregate(q, region); err != nil {
-		t.Fatal(err)
-	}
-	ld := leg.Snapshot().Sub(legBefore)
-	if ld.RowsScanned != int64(n) || ld.BlocksSkipped != 0 {
-		t.Fatalf("legacy stats unexpected: %+v", ld)
-	}
 }
 
-// TestViolationScanEquivalence compares the Top-k primitive row by row:
-// same rows, same order, same violation vectors bit for bit, same
-// aggregate values — and on a clustered layout the vectorized scan must
-// skip blocks while still emitting the identical row stream.
+// foldViolationRows steps the rows of a ViolationScan whose violation
+// vectors lie inside region into a partial, in emitted order — the
+// Top-k baseline's view of one refined query.
+func foldViolationRows(t *testing.T, q *relq.Query, rows []RowViolations, region relq.Region) agg.Partial {
+	t.Helper()
+	spec, err := agg.SpecFor(q.Constraint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := agg.Zero()
+	for _, r := range rows {
+		if region.Contains(r.Viol) {
+			spec.StepValue(&p, r.AggValue)
+		}
+	}
+	return p
+}
+
+// TestViolationScanEquivalence checks the Top-k primitive row by row:
+// rows ascend, every violation vector and aggregate value is
+// bit-identical to the row's own column values, and folding the rows
+// inside a region reproduces NaiveAggregate on that region — so no row
+// passing the fixed filters is lost or invented. On a clustered layout
+// the scan must skip blocks while still emitting every such row.
 func TestViolationScanEquivalence(t *testing.T) {
 	cat := messyCatalog(t, 3*blockRows+100, 50, 23)
-	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
+	e := New(cat)
 
 	q := &relq.Query{
 		Tables: []string{"orders"},
@@ -440,35 +455,47 @@ func TestViolationScanEquivalence(t *testing.T) {
 		Constraint: relq.Constraint{Func: relq.AggSum, Attr: relq.ColumnRef{Table: "orders", Column: "o_qty"}, Op: relq.CmpEQ, Target: 1},
 	}
 
-	rv, err := vec.ViolationScan(q)
+	rv, err := e.ViolationScan(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := leg.ViolationScan(q)
+	orders, err := cat.Table("orders")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rv) != len(rl) {
-		t.Fatalf("row count: vectorized %d != legacy %d", len(rv), len(rl))
-	}
-	for i := range rv {
-		if rv[i].Row != rl[i].Row ||
-			math.Float64bits(rv[i].AggValue) != math.Float64bits(rl[i].AggValue) {
-			t.Fatalf("row %d: %+v != %+v", i, rv[i], rl[i])
+	amount, _ := orders.NumericColumn(orders.Schema().Ordinal("o_amount"))
+	qty, _ := orders.NumericColumn(orders.Schema().Ordinal("o_qty"))
+	for i, r := range rv {
+		if i > 0 && r.Row <= rv[i-1].Row {
+			t.Fatalf("row %d: row ids not ascending (%d after %d)", i, r.Row, rv[i-1].Row)
 		}
-		for j := range rv[i].Viol {
-			if math.Float64bits(rv[i].Viol[j]) != math.Float64bits(rl[i].Viol[j]) {
-				t.Fatalf("row %d viol[%d]: %v != %v", i, j, rv[i].Viol[j], rl[i].Viol[j])
+		want := []float64{q.Dims[0].Violation(amount[r.Row]), q.Dims[1].Violation(qty[r.Row])}
+		for j := range want {
+			if math.Float64bits(r.Viol[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("row %d viol[%d]: %v != %v", r.Row, j, r.Viol[j], want[j])
 			}
 		}
+		if math.Float64bits(r.AggValue) != math.Float64bits(qty[r.Row]) {
+			t.Fatalf("row %d agg value: %v != %v", r.Row, r.AggValue, qty[r.Row])
+		}
+	}
+	for _, region := range []relq.Region{
+		relq.PrefixRegion([]float64{math.Inf(1), math.Inf(1)}),
+		relq.PrefixRegion([]float64{0, 0}),
+		relq.PrefixRegion([]float64{20, 35}),
+		{{Lo: 5, Hi: 60}, {Lo: -1, Hi: 90}},
+	} {
+		want, err := e.NaiveAggregate(q, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		naiveEqual(t, fmt.Sprintf("ViolationScan fold over %v", region), foldViolationRows(t, q, rv, region), want)
 	}
 
-	// Clustered layout: the vectorized ViolationScan must engage zone
-	// maps on its fixed range and exclude skipped rows from RowsScanned.
+	// Clustered layout: the ViolationScan must engage zone maps on its
+	// fixed range and exclude skipped rows from RowsScanned.
 	ccat := clusteredCatalog(t, 10*blockRows)
 	cvec := New(ccat)
-	cleg := New(ccat)
-	cleg.SetLegacyScan(true)
 	cq := &relq.Query{
 		Tables: []string{"events"},
 		Dims: []relq.Dimension{
@@ -485,12 +512,12 @@ func TestViolationScanEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cd := cvec.Snapshot().Sub(before)
-	cl, err := cleg.ViolationScan(cq)
+	all, err := cvec.NaiveAggregate(cq, relq.PrefixRegion([]float64{math.Inf(1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cv) != len(cl) {
-		t.Fatalf("clustered row count: %d != %d", len(cv), len(cl))
+	if int64(len(cv)) != all.Count {
+		t.Fatalf("clustered row count: %d != NaiveAggregate %d", len(cv), all.Count)
 	}
 	if cd.BlocksSkipped == 0 {
 		t.Fatalf("clustered ViolationScan should skip blocks; stats %+v", cd)
@@ -502,13 +529,11 @@ func TestViolationScanEquivalence(t *testing.T) {
 
 // TestSemiJoinPushdownEquivalence shapes a query so the scan-level
 // semi-join pushdown engages (tiny pre-filtered probe side scanned
-// before a large build side on an equi edge) and checks the result is
-// unchanged.
+// before a large build side on an equi edge) and checks the result
+// against NaiveAggregate.
 func TestSemiJoinPushdownEquivalence(t *testing.T) {
 	cat := messyCatalog(t, 8000, 400, 31)
 	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
 
 	// cust is table 0 (scanned first, becomes the probe side of the
 	// planned equi attach of orders); the tight c_score bound keeps its
@@ -542,24 +567,22 @@ func TestSemiJoinPushdownEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := leg.Aggregate(q, region)
+		pn, err := vec.NaiveAggregate(q, region)
 		if err != nil {
 			t.Fatal(err)
 		}
-		exactEqual(t, fmt.Sprintf("pushdown hi=%v", hi), pv, pl)
+		naiveEqual(t, fmt.Sprintf("pushdown hi=%v", hi), pv, pn)
 	}
 }
 
 // TestVectorLegacyEquivalenceAfterMutation checks zone-map retirement
 // under appends: growing a table changes its column lengths, so the
 // table-identity cache scheme (exact *Table pointer + matching length)
-// must miss and rebuild — the vectorized path never prunes with stale
-// block bounds.
+// must miss and rebuild — the scan never prunes with stale block
+// bounds, and results keep matching NaiveAggregate.
 func TestVectorLegacyEquivalenceAfterMutation(t *testing.T) {
 	cat := clusteredCatalog(t, 4*blockRows)
 	vec := New(cat)
-	leg := New(cat)
-	leg.SetLegacyScan(true)
 
 	q := &relq.Query{
 		Tables: []string{"events"},
@@ -577,11 +600,11 @@ func TestVectorLegacyEquivalenceAfterMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := leg.Aggregate(q, region)
+	pn, err := vec.NaiveAggregate(q, region)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactEqual(t, "pre-mutation", pv, pl)
+	naiveEqual(t, "pre-mutation", pv, pn)
 
 	// Append out-of-order rows that an unrefreshed zone map would
 	// wrongly prune (values inside the fixed range land in new blocks,
@@ -596,17 +619,16 @@ func TestVectorLegacyEquivalenceAfterMutation(t *testing.T) {
 		}
 	}
 	vec.InvalidateTable("events")
-	leg.InvalidateTable("events")
 
 	pv2, err := vec.Aggregate(q, region)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl2, err := leg.Aggregate(q, region)
+	pn2, err := vec.NaiveAggregate(q, region)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactEqual(t, "post-mutation", pv2, pl2)
+	naiveEqual(t, "post-mutation", pv2, pn2)
 	if pv2.Count <= pv.Count {
 		t.Fatalf("appended qualifying rows must grow the count: %d -> %d", pv.Count, pv2.Count)
 	}
@@ -617,10 +639,10 @@ func TestVectorLegacyEquivalenceAfterMutation(t *testing.T) {
 // mutates the fact table a different way — sub-block append, block-
 // sized append, and a same-size catalog Replace (an auto-clustering
 // style re-sort, where only the *Table identity changes, not the row
-// count) — then re-scans through InvalidateTable. The vectorized
-// sharded evaluator must stay bit-identical to its legacy twin after
-// every round; a stale zone map, column vector, or sorted index from a
-// previous generation shows up here as a pruned qualifying row.
+// count) — then re-scans through InvalidateTable. The sharded
+// evaluator must keep matching NaiveAggregate after every round; a
+// stale zone map, column vector, or sorted index from a previous
+// generation shows up here as a pruned qualifying row.
 func TestZoneMapRetirementSharded(t *testing.T) {
 	q := &relq.Query{
 		Tables: []string{"events"},
@@ -644,11 +666,7 @@ func TestZoneMapRetirementSharded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		leg, err := NewShardedOn(cat, "events", shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leg.SetLegacyScan(true)
+		oracle := New(cat)
 
 		compare := func(round string) []agg.Partial {
 			t.Helper()
@@ -656,19 +674,16 @@ func TestZoneMapRetirementSharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := leg.AggregateBatch(context.Background(), q, regions)
-			if err != nil {
-				t.Fatal(err)
-			}
 			for i := range got {
-				exactEqual(t, fmt.Sprintf("shards=%d %s region %d", shards, round, i), got[i], want[i])
+				want, err := oracle.NaiveAggregate(q, regions[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				naiveEqual(t, fmt.Sprintf("shards=%d %s region %d", shards, round, i), got[i], want)
 			}
 			return got
 		}
-		invalidate := func() {
-			vec.InvalidateTable("events")
-			leg.InvalidateTable("events")
-		}
+		invalidate := func() { vec.InvalidateTable("events") }
 
 		base := compare("baseline")
 		tbl, err := cat.Table("events")

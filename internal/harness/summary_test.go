@@ -19,8 +19,8 @@ func TestSummaryClaimsHold(t *testing.T) {
 	if len(figs) != 3 {
 		t.Fatalf("figures = %d", len(figs))
 	}
-	if len(claims) != 5 {
-		t.Fatalf("claims = %d, want 5", len(claims))
+	if len(claims) != 6 {
+		t.Fatalf("claims = %d, want 6", len(claims))
 	}
 	// §8.5(1a)/(1b)/(3) compare wall-clock across methods; the race
 	// detector slows each method by a different factor, so those ratios

@@ -190,7 +190,7 @@ func ZOrderStudy(ctx context.Context, cfg Config) ([]Figure, error) {
 	for i := range best {
 		best[i] = 1<<63 - 1
 	}
-	for round := 0; round < ScanStudyRounds; round++ {
+	for round := 0; round < studyRounds; round++ {
 		for vi := range vars {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -379,7 +379,7 @@ func ZOrderStudy(ctx context.Context, cfg Config) ([]Figure, error) {
 	divMillis := make([]float64, 2)
 	for vi, e := range []exec.Evaluator{uniform, divergent} {
 		bestD := time.Duration(1<<63 - 1)
-		for round := 0; round < ScanStudyRounds; round++ {
+		for round := 0; round < studyRounds; round++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

@@ -50,6 +50,8 @@ type cellAggs struct {
 // posting lists (BuildAgg).
 type Grid struct {
 	table   string
+	src     *data.Table // the table instance the grid was built from
+	rows    int         // its row count at build time
 	columns []string
 	mins    []float64
 	widths  []float64 // bin width per dimension (0 for degenerate domains)
@@ -79,6 +81,8 @@ func newGrid(t *data.Table, columns []string, binsPerDim, cellCap int) (*Grid, [
 
 	g := &Grid{
 		table:   t.Name(),
+		src:     t,
+		rows:    t.NumRows(),
 		columns: append([]string(nil), columns...),
 		mins:    make([]float64, len(columns)),
 		widths:  make([]float64, len(columns)),
@@ -136,6 +140,12 @@ func Build(t *data.Table, columns []string, binsPerDim int) (*Grid, error) {
 
 // Table returns the indexed table's name.
 func (g *Grid) Table() string { return g.table }
+
+// BuiltFrom reports whether the grid still describes t: it was built
+// from this exact table instance, which has not grown since. Appends
+// and catalog Replaces both retire a grid — the row-count-generation
+// rule the engine's zone maps and region cache follow.
+func (g *Grid) BuiltFrom(t *data.Table) bool { return g.src == t && g.rows == t.NumRows() }
 
 // Columns returns the indexed column names in grid order.
 func (g *Grid) Columns() []string { return append([]string(nil), g.columns...) }

@@ -99,7 +99,10 @@ func TestFingerprintSensitivity(t *testing.T) {
 		{"fixed-hi", func(q *Query) { q.Fixed[0].Hi = 101 }},
 		{"fixed-values", func(q *Query) { q.Fixed[1].Values = []string{"f"} }},
 		{"fixed-dropped", func(q *Query) { q.Fixed = q.Fixed[:1] }},
-		{"agg-func", func(q *Query) { q.Constraint.Func = AggSum; q.Constraint.Attr = ColumnRef{Table: "users", Column: "age"} }},
+		{"agg-func", func(q *Query) {
+			q.Constraint.Func = AggSum
+			q.Constraint.Attr = ColumnRef{Table: "users", Column: "age"}
+		}},
 		{"uda-name", func(q *Query) { q.Constraint.UserName = "revenue" }},
 	}
 	for _, m := range mutate {
